@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -62,8 +61,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 
-WORKERS_ENV = "CROSSFAM_WORKERS"
-
 
 class CliInputError(Exception):
     """Input problem that maps to exit code 2."""
@@ -87,25 +84,6 @@ def _manifest(command: str, parameters: dict, inputs: dict[str, str], started: f
 def _emit(document: dict, out) -> None:
     json.dump(document, out, indent=2)
     out.write("\n")
-
-
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CliInputError(f"{WORKERS_ENV} must be an integer (got {raw!r})")
-    if value < 1:
-        raise CliInputError(f"{WORKERS_ENV} must be >= 1 (got {value})")
-    return value
-
-
-def _check_workers(value: int) -> int:
-    if value < 1:
-        raise CliInputError(f"--workers must be >= 1 (got {value})")
-    return value
 
 
 # --- count ------------------------------------------------------------------
@@ -159,7 +137,6 @@ def _cmd_count(args, out) -> int:
 
 def _cmd_verify_lemmas(args, out) -> int:
     started = time.monotonic()
-    _check_workers(args.workers)
     try:
         raw = Path(args.config).read_text()
     except OSError as exc:
@@ -316,7 +293,6 @@ def _pool_from_args(args) -> CandidatePool:
 
 def _cmd_search(args, out) -> int:
     started = time.monotonic()
-    _check_workers(args.workers)
     pool = _pool_from_args(args)
     inputs = {}
     if args.pool:
@@ -376,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify-lemmas", help="run an inequality sweep from a config file")
     p_verify.add_argument("config")
-    p_verify.add_argument("--workers", type=int, default=None)
 
     p_check = sub.add_parser("check-family", help="check the weak cross intersection condition")
     p_check.add_argument("family_f")
@@ -409,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="subspace-layer enumeration cap",
     )
     p_search.add_argument("--symmetry", action="store_true")
-    p_search.add_argument("--workers", type=int, default=None)
 
     return parser
 
@@ -423,8 +397,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
         # argparse uses 2 for usage errors; --version/--help exit 0
         return int(exc.code or 0)
     try:
-        if args.command in ("verify-lemmas", "search") and args.workers is None:
-            args.workers = _default_workers()
         if args.command == "count":
             return _cmd_count(args, out)
         if args.command == "verify-lemmas":

@@ -94,10 +94,8 @@ def count_subspaces_by_intersection(n: int, kw: int, m: int, h: int, q: int) -> 
     return q ** ((kw - h) * (m - h)) * first * second
 
 
-def subspace_profile(n: int, k: int, kp: int, h: int, q: int) -> int:
-    """q^((k-h)(kp-h)) * [k, h]_q * [n-k, kp-h]_q: the number of kp-subspaces
-    meeting a fixed k-subspace in dimension exactly h."""
-    return count_subspaces_by_intersection(n, k, kp, h, q)
+# the subspace overlap profile F(h) = q^((k-h)(kp-h)) [k, h]_q [n-k, kp-h]_q
+subspace_profile = count_subspaces_by_intersection
 
 
 def condition_threshold(ell: int, t: int) -> int:
@@ -110,6 +108,12 @@ def condition_threshold(ell: int, t: int) -> int:
     if t < 1:
         raise ValueError(f"t must be >= 1 (got {t})")
     return ell * ell * t - ell + 1
+
+
+def _halved_threshold(k: int, ell: int, t: int, power: int) -> int:
+    """Smallest n with 2(n - t) >= k^2 * ell^power * C(2k, t+1) * C(k, t)."""
+    product = k * k * ell**power * binomial(2 * k, t + 1) * binomial(k, t)
+    return (product + 1) // 2 + t
 
 
 def set_threshold(k: int, ell: int, t: int) -> int:
@@ -125,8 +129,7 @@ def set_threshold(k: int, ell: int, t: int) -> int:
         raise ValueError(f"k must be >= t + 1 (got k={k}, t={t})")
     if ell < 2:
         raise ValueError(f"ell must be >= 2 (got {ell})")
-    product = k * k * ell**4 * binomial(2 * k, t + 1) * binomial(k, t)
-    return (product + 1) // 2 + t
+    return _halved_threshold(k, ell, t, 4)
 
 
 def subspace_threshold(k: int, kp: int, ell: int, t: int) -> int:

@@ -20,6 +20,7 @@ from .gf_subspaces import (
     FamilyFormatError,
     Subspace,
     SubspaceFamily,
+    _read_header,
     contains,
     dim_intersection,
     intersect_subspace,
@@ -63,8 +64,8 @@ class SetFamily:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        if not 1 <= self.n <= 64:
-            raise ValueError(f"universe size must be in [1, 64] (got {self.n})")
+        if self.n < 1:
+            raise ValueError(f"universe size must be >= 1 (got {self.n})")
         if not 0 <= self.k <= self.n:
             raise ValueError(f"need 0 <= k <= n (got k={self.k}, n={self.n})")
         full = (1 << self.n) - 1
@@ -99,16 +100,27 @@ class SetFamily:
         return cls(n, masks[0].bit_count(), tuple(masks))
 
 
+def mask_indices(mask: int) -> tuple[int, ...]:
+    """0-based indices of the set bits of a mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def mask_elements(mask: int) -> tuple[int, ...]:
     """1-based elements of a bitmask, ascending."""
-    out = []
-    e = 1
-    while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
-    return tuple(out)
+    return tuple(i + 1 for i in mask_indices(mask))
+
+
+def mask_from_indices(indices: Iterable[int]) -> int:
+    """The mask with bit i set for each 0-based index i."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << i
+    return mask
 
 
 def member_overlap(a: Member, b: Member) -> int:
@@ -133,10 +145,6 @@ def _exact_overlap(a: Member, b: Member) -> Member:
     if isinstance(a, int):
         return a & b
     return intersect_subspace(a, b)
-
-
-def _core_size(core: Member) -> int:
-    return core.bit_count() if isinstance(core, int) else core.dim
 
 
 def _core_sort_key(core: Member):
@@ -471,27 +479,9 @@ def verify_kernel_containment(
 
 def parse_set_family(text: str) -> SetFamily:
     lines = text.splitlines()
-    header_idx = None
-    for idx, raw in enumerate(lines):
-        if raw.strip():
-            header_idx = idx
-            break
-    if header_idx is None:
-        raise FamilyFormatError("empty file, expected header 'n=<n> k=<k>'")
-    header = lines[header_idx].split()
-    if (
-        len(header) != 2
-        or not header[0].startswith("n=")
-        or not header[1].startswith("k=")
-    ):
-        raise FamilyFormatError("expected header 'n=<n> k=<k>'", line=header_idx + 1)
-    try:
-        n = int(header[0][2:])
-        k = int(header[1][2:])
-    except ValueError:
-        raise FamilyFormatError("header values must be integers", line=header_idx + 1)
-    if not 1 <= n <= 64:
-        raise FamilyFormatError(f"n must be in [1, 64] (got {n})", line=header_idx + 1)
+    header_idx, (n, k) = _read_header(lines, ("n", "k"))
+    if n < 1:
+        raise FamilyFormatError(f"n must be >= 1 (got {n})", line=header_idx + 1)
     if not 1 <= k <= n:
         raise FamilyFormatError(f"k must be in [1, {n}] (got {k})", line=header_idx + 1)
     masks: list[int] = []

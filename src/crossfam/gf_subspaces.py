@@ -53,6 +53,25 @@ class FamilyFormatError(ValueError):
         super().__init__(message)
 
 
+def _read_header(lines: Sequence[str], keys: Sequence[str]) -> tuple[int, tuple[int, ...]]:
+    """Read the first non-blank line as the header ``k1=<k1> k2=<k2> ...``
+    with exactly ``keys`` in order; returns its 0-based index and the values."""
+    expected = "expected header '" + " ".join(f"{key}=<{key}>" for key in keys) + "'"
+    header_idx = next((idx for idx, raw in enumerate(lines) if raw.strip()), None)
+    if header_idx is None:
+        raise FamilyFormatError(f"empty file, {expected}")
+    header = lines[header_idx].split()
+    if len(header) != len(keys) or not all(
+        token.startswith(f"{key}=") for token, key in zip(header, keys)
+    ):
+        raise FamilyFormatError(expected, line=header_idx + 1)
+    try:
+        values = tuple(int(token[len(key) + 1 :]) for token, key in zip(header, keys))
+    except ValueError:
+        raise FamilyFormatError("header values must be integers", line=header_idx + 1)
+    return header_idx, values
+
+
 def is_prime(q: int) -> bool:
     if q < 2:
         return False
@@ -315,27 +334,7 @@ def build_star(
 
 def parse_subspace_family(text: str) -> SubspaceFamily:
     lines = text.splitlines()
-    header_idx = None
-    for idx, raw in enumerate(lines):
-        if raw.strip():
-            header_idx = idx
-            break
-    if header_idx is None:
-        raise FamilyFormatError("empty file, expected header 'q=<q> n=<n>'")
-    header = lines[header_idx].split()
-    if (
-        len(header) != 2
-        or not header[0].startswith("q=")
-        or not header[1].startswith("n=")
-    ):
-        raise FamilyFormatError(
-            "expected header 'q=<q> n=<n>'", line=header_idx + 1
-        )
-    try:
-        q = int(header[0][2:])
-        n = int(header[1][2:])
-    except ValueError:
-        raise FamilyFormatError("header values must be integers", line=header_idx + 1)
+    header_idx, (q, n) = _read_header(lines, ("q", "n"))
     if not is_prime(q):
         raise FamilyFormatError(f"q must be prime (got {q})", line=header_idx + 1)
     if n < 1:

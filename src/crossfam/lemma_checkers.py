@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .exact_arith import (
+    _halved_threshold,
     binomial,
     gaussian_binomial,
     set_profile,
@@ -66,12 +67,6 @@ def _require_common(k: int, kp: int, t: int) -> None:
     _require(k >= kp, f"k >= kp required (k={k}, kp={kp})")
 
 
-def _halved_threshold(k: int, ell: int, t: int, power: int) -> int:
-    """Smallest n with 2(n - t) >= k^2 * ell^power * C(2k, t+1) * C(k, t)."""
-    product = k * k * ell**power * binomial(2 * k, t + 1) * binomial(k, t)
-    return (product + 1) // 2 + t
-
-
 @dataclass(frozen=True)
 class LemmaReport:
     """One exact comparison: ``holds`` is the verdict of the stated
@@ -105,7 +100,10 @@ class LemmaReport:
 def check_set_profile_decreasing(n: int, k: int, kp: int, t: int) -> list[LemmaReport]:
     """f(h) = C(k, h) C(n-k, kp-h) is strictly decreasing for h in [t, kp)."""
     _require_common(k, kp, t)
-    _require(n >= k * k + 2 * k, f"n >= k^2 + 2k required (n={n}, k={k})")
+    _require(
+        n >= min_valid_n("set-profile-decreasing", k, kp, None, t),
+        f"n >= k^2 + 2k required (n={n}, k={k})",
+    )
     reports = []
     for h in range(t, kp):
         lhs = set_profile(n, k, kp, h)
@@ -148,7 +146,7 @@ def check_set_ratio_bound(
     _require_common(k, kp, t)
     _require(ell >= 2, f"ell >= 2 required (ell={ell})")
     _require(0 <= m <= kp - t - 1, f"0 <= m <= kp - t - 1 required (m={m})")
-    min_n = _halved_threshold(k, ell, t, 3)
+    min_n = min_valid_n("set-ratio-bound", k, kp, ell, t)
     _require(
         n >= min_n,
         f"n >= ceil(k^2 ell^3 C(2k,t+1) C(k,t) / 2) + t = {min_n} required (n={n})",
@@ -181,7 +179,7 @@ def check_set_sum_bound(
     overlap-profile tail sum plus ell (both role assignments)."""
     _require_common(k, kp, t)
     _require(ell >= 2, f"ell >= 2 required (ell={ell})")
-    min_n = _halved_threshold(k, ell, t, 4)
+    min_n = min_valid_n("set-sum-bound", k, kp, ell, t)
     _require(
         n >= min_n,
         f"n >= ceil(k^2 ell^4 C(2k,t+1) C(k,t) / 2) + t = {min_n} required (n={n})",
@@ -212,7 +210,10 @@ def check_subspace_profile_decreasing(
     h in [t, kp)."""
     _require_common(k, kp, t)
     _require(q >= 2, f"q >= 2 required (q={q})")
-    _require(n >= k + kp - t, f"n >= k + kp - t required (n={n})")
+    _require(
+        n >= min_valid_n("subspace-profile-decreasing", k, kp, None, t),
+        f"n >= k + kp - t required (n={n})",
+    )
     reports = []
     for h in range(t, kp):
         lhs = subspace_profile(n, k, kp, h, q)
@@ -258,7 +259,7 @@ def check_subspace_ratio_bound(
     _require(ell >= 2, f"ell >= 2 required (ell={ell})")
     _require(q >= 2, f"q >= 2 required (q={q})")
     _require(0 <= m <= kp - t - 1, f"0 <= m <= kp - t - 1 required (m={m})")
-    min_n = (2 * k - t) * (t + 1) + k + ell + 2
+    min_n = min_valid_n("subspace-ratio-bound", k, kp, ell, t)
     _require(
         n >= min_n,
         f"n >= (2k-t)(t+1) + k + ell + 2 = {min_n} required (n={n})",
@@ -295,7 +296,7 @@ def check_subspace_sum_bound(
     _require_common(k, kp, t)
     _require(ell >= 2, f"ell >= 2 required (ell={ell})")
     _require(q >= 2, f"q >= 2 required (q={q})")
-    min_n = subspace_threshold(k, kp, ell, t)
+    min_n = min_valid_n("subspace-sum-bound", k, kp, ell, t)
     _require(
         n >= min_n,
         f"n >= (2k-t+1)(t+1) + (k-t+1)kp + k + 2ell - 1 = {min_n} required (n={n})",
@@ -329,94 +330,49 @@ def check_subspace_sum_bound(
 # --- sweep machinery --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _LemmaSpec:
-    uses_ell: bool
-    uses_q: bool
-    uses_m: bool
-    min_n: Callable[[int, int, int, int], int]
-    run: Callable
-
-
-def _profile_set_min_n(k, kp, ell, t):
-    return k * k + 2 * k
-
-
-def _ratio_set_min_n(k, kp, ell, t):
-    return _halved_threshold(k, ell, t, 3)
-
-
-def _sum_set_min_n(k, kp, ell, t):
-    return set_threshold(k, ell, t)
-
-
-def _profile_subspace_min_n(k, kp, ell, t):
-    return k + kp - t
-
-
-def _ratio_subspace_min_n(k, kp, ell, t):
-    return (2 * k - t) * (t + 1) + k + ell + 2
-
-
-def _sum_subspace_min_n(k, kp, ell, t):
-    return subspace_threshold(k, kp, ell, t)
-
-
-LEMMAS: dict[str, _LemmaSpec] = {
-    "set-profile-decreasing": _LemmaSpec(
-        False,
-        False,
-        False,
-        _profile_set_min_n,
-        lambda n, k, kp, t, ell, q, m: check_set_profile_decreasing(n, k, kp, t),
+# lemma id -> (checker, the parameters it takes, smallest claimed n as a
+# function of (k, kp, ell, t)); ell is None for lemmas that do not take it
+LEMMAS: dict[str, tuple[Callable, tuple[str, ...], Callable[..., int]]] = {
+    "set-profile-decreasing": (
+        check_set_profile_decreasing,
+        ("n", "k", "kp", "t"),
+        lambda k, kp, ell, t: k * k + 2 * k,
     ),
-    "set-ratio-bound": _LemmaSpec(
-        True,
-        False,
-        True,
-        _ratio_set_min_n,
-        lambda n, k, kp, t, ell, q, m: list(check_set_ratio_bound(n, k, kp, ell, t, m)),
+    "set-ratio-bound": (
+        check_set_ratio_bound,
+        ("n", "k", "kp", "ell", "t", "m"),
+        lambda k, kp, ell, t: _halved_threshold(k, ell, t, 3),
     ),
-    "set-sum-bound": _LemmaSpec(
-        True,
-        False,
-        False,
-        _sum_set_min_n,
-        lambda n, k, kp, t, ell, q, m: list(check_set_sum_bound(n, k, kp, ell, t)),
+    "set-sum-bound": (
+        check_set_sum_bound,
+        ("n", "k", "kp", "ell", "t"),
+        lambda k, kp, ell, t: set_threshold(k, ell, t),
     ),
-    "subspace-profile-decreasing": _LemmaSpec(
-        False,
-        True,
-        False,
-        _profile_subspace_min_n,
-        lambda n, k, kp, t, ell, q, m: check_subspace_profile_decreasing(n, k, kp, t, q),
+    "subspace-profile-decreasing": (
+        check_subspace_profile_decreasing,
+        ("n", "k", "kp", "t", "q"),
+        lambda k, kp, ell, t: k + kp - t,
     ),
-    "subspace-ratio-bound": _LemmaSpec(
-        True,
-        True,
-        True,
-        _ratio_subspace_min_n,
-        lambda n, k, kp, t, ell, q, m: list(
-            check_subspace_ratio_bound(n, k, kp, ell, t, m, q)
-        ),
+    "subspace-ratio-bound": (
+        check_subspace_ratio_bound,
+        ("n", "k", "kp", "ell", "t", "m", "q"),
+        lambda k, kp, ell, t: (2 * k - t) * (t + 1) + k + ell + 2,
     ),
-    "subspace-sum-bound": _LemmaSpec(
-        True,
-        True,
-        False,
-        _sum_subspace_min_n,
-        lambda n, k, kp, t, ell, q, m: list(check_subspace_sum_bound(n, k, kp, ell, t, q)),
+    "subspace-sum-bound": (
+        check_subspace_sum_bound,
+        ("n", "k", "kp", "ell", "t", "q"),
+        lambda k, kp, ell, t: subspace_threshold(k, kp, ell, t),
     ),
 }
 
 LEMMA_IDS = tuple(LEMMAS)
 
 
-def min_valid_n(lemma: str, k: int, kp: int, ell: int, t: int) -> int:
+def min_valid_n(lemma: str, k: int, kp: int, ell: int | None, t: int) -> int:
     """The smallest ambient size at which ``lemma`` is claimed."""
     if lemma not in LEMMAS:
         raise ValueError(f"unknown lemma {lemma!r}; known: {', '.join(LEMMA_IDS)}")
-    return LEMMAS[lemma].min_n(k, kp, ell, t)
+    return LEMMAS[lemma][2](k, kp, ell, t)
 
 
 @dataclass(frozen=True)
@@ -544,7 +500,7 @@ def iter_sweep(config: SweepConfig) -> Iterator[LemmaReport]:
     order.  Explicit n values below a lemma's own bound raise
     PreconditionError; derived n values are always in range."""
     for lemma_id in config.lemmas:
-        spec = LEMMAS[lemma_id]
+        checker, params, min_n = LEMMAS[lemma_id]
         for t in config.t_values:
             for k in config.k_values:
                 kp_range = (
@@ -555,11 +511,11 @@ def iter_sweep(config: SweepConfig) -> Iterator[LemmaReport]:
                 for kp in kp_range:
                     if not t + 1 <= kp <= k:
                         continue
-                    ells = config.ell_values if spec.uses_ell else (2,)
-                    qs = config.q_values if spec.uses_q else (None,)
+                    ells = config.ell_values if "ell" in params else (None,)
+                    qs = config.q_values if "q" in params else (None,)
                     for ell in ells:
                         for q in qs:
-                            if spec.uses_m:
+                            if "m" in params:
                                 m_range = (
                                     config.m_values
                                     if config.m_values is not None
@@ -573,12 +529,11 @@ def iter_sweep(config: SweepConfig) -> Iterator[LemmaReport]:
                                 if config.n_explicit is not None:
                                     n_values: Sequence[int] = config.n_explicit
                                 else:
-                                    floor = spec.min_n(k, kp, ell, t)
+                                    floor = min_n(k, kp, ell, t)
                                     n_values = [floor + off for off in config.n_offsets]
                                 for n in n_values:
-                                    yield from spec.run(
-                                        n=n, k=k, kp=kp, t=t, ell=ell, q=q, m=m
-                                    )
+                                    values = dict(n=n, k=k, kp=kp, t=t, ell=ell, q=q, m=m)
+                                    yield from checker(**{p: values[p] for p in params})
 
 
 def run_sweep(config: SweepConfig) -> tuple[list[LemmaReport], SweepSummary]:

@@ -27,6 +27,8 @@ from .exact_arith import binomial, condition_threshold, gaussian_binomial
 from .family_analysis import (
     SetFamily,
     is_weakly_cross_intersecting,
+    mask_from_indices,
+    mask_indices,
     member_contains_core,
     member_overlap,
 )
@@ -103,13 +105,7 @@ class CandidatePool:
         lexicographic element order."""
 
         def layer(size: int) -> tuple[int, ...]:
-            out = []
-            for combo in combinations(range(n), size):
-                mask = 0
-                for e in combo:
-                    mask |= 1 << e
-                out.append(mask)
-            return tuple(out)
+            return tuple(mask_from_indices(combo) for combo in combinations(range(n), size))
 
         return cls("sets", n, None, k, kp, layer(k), layer(kp))
 
@@ -175,23 +171,10 @@ def star_lower_bound(n: int, k: int, kp: int, t: int, q: int | None = None) -> i
     return gaussian_binomial(n - t, k - t, q) * gaussian_binomial(n - t, kp - t, q)
 
 
-def _pool_star_bound(pool: CandidatePool, t: int) -> int:
-    return star_lower_bound(pool.n, pool.k, pool.kp, t, pool.q)
-
-
 def _weights(pool: CandidatePool) -> list[list[int]]:
     return [
         [member_overlap(a, b) for b in pool.candidates_g] for a in pool.candidates_f
     ]
-
-
-def _bits(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
 
 
 def _contained_subset_unions(
@@ -207,7 +190,7 @@ def _contained_subset_unions(
         low = (a & -a).bit_length() - 1
         rest = a ^ (1 << low)
         acc = out[rest]
-        rest_bits = _bits(rest)
+        rest_bits = mask_indices(rest)
         if len(rest_bits) >= ell - 1:
             for combo in combinations(rest_bits, ell - 1):
                 acc |= masks[index[(low,) + combo]]
@@ -231,12 +214,8 @@ def _candidate_cores(pool: CandidatePool, t: int) -> list:
     if pool.kind == "sets":
         cores = set()
         for member in pool.candidates_f:
-            elements = _bits(member)
-            for combo in combinations(elements, t):
-                mask = 0
-                for e in combo:
-                    mask |= 1 << e
-                cores.add(mask)
+            for combo in combinations(mask_indices(member), t):
+                cores.add(mask_from_indices(combo))
         return sorted(cores)
     seen = {}
     for member in pool.candidates_f:
@@ -283,7 +262,7 @@ def max_product_naive(
         raise GuardExceeded(
             f"one side has more than {NAIVE_SIDE_LIMIT} candidates"
         )
-    star = _pool_star_bound(pool, t)
+    star = star_lower_bound(pool.n, pool.k, pool.kp, t, pool.q)
     if fcount == 0 or gcount == 0:
         return SearchResult(0, (), (), 0, True, star)
 
@@ -304,14 +283,14 @@ def max_product_naive(
         gcount, ell, t_subsets, [1 << i for i in range(len(t_subsets))]
     )
 
-    b_tuples = [_bits(b) for b in range(1 << gcount)]
+    b_tuples = [mask_indices(b) for b in range(1 << gcount)]
     b_order = sorted(range(1 << gcount), key=lambda b: (-len(b_tuples[b]), b_tuples[b]))
 
     best = (0, (), ())
     nodes = 0
     for a in range(1 << fcount):
         bad = violations[a]
-        a_tuple = _bits(a)
+        a_tuple = mask_indices(a)
         for b in b_order:
             nodes += 1
             if tuple_masks[b] & bad == 0:
@@ -357,7 +336,7 @@ def max_product_bb(
         raise PoolTooLarge(
             f"pool side above the limit of {opts.max_pool_side} candidates"
         )
-    star = _pool_star_bound(pool, t)
+    star = star_lower_bound(pool.n, pool.k, pool.kp, t, pool.q)
     threshold = condition_threshold(ell, t)
     weights = _weights(pool)
 

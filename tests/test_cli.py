@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+import re
 from pathlib import Path
 
 import jsonschema
@@ -371,23 +373,141 @@ class TestVerifyLemmas:
         assert normalize(first) == normalize(second)
 
 
-class TestWorkersFlag:
-    def test_workers_validated(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"k": [2]}))
-        code, _ = run_cli("verify-lemmas", str(cfg), "--workers", "0")
-        assert code == EXIT_INPUT
+# --- golden report bodies -----------------------------------------------------
+#
+# sha256 of stdout with every manifest "elapsed_s" value set to 0, recorded
+# before the modules were consolidated.  Files are written under relative
+# names in a fresh working directory, so the manifest paths are stable too.
 
-    def test_workers_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CROSSFAM_WORKERS", "2")
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"lemmas": ["set-profile-decreasing"], "t": [1], "k": [2]}))
-        code, _ = run_cli("verify-lemmas", str(cfg))
-        assert code == EXIT_OK
+GOLDEN_FILES = {
+    "star.txt": STAR7,
+    "breaker.txt": BREAKER,
+    "pool.txt": "n=6 k=3\n1,2,3\n1,2,4\n1,3,4\n2,3,4\n1,5,6\n",
+    "gf2_ok.txt": "q=2 n=4\n1 0 0 0\n0 1 0 0\n\n1 0 0 1\n0 1 0 0\n",
+    "gf2_far.txt": "q=2 n=4\n0 0 1 0\n0 0 0 1\n\n0 1 1 0\n0 0 0 1\n",
+    "gf3_flower.txt": (
+        "q=3 n=3\n1 0 0\n0 1 0\n\n1 0 0\n0 0 1\n\n1 0 0\n0 1 1\n\n1 0 0\n0 1 2\n"
+    ),
+    "sweep.json": json.dumps(
+        {
+            "lemmas": [
+                "set-profile-decreasing",
+                "set-ratio-bound",
+                "set-sum-bound",
+                "subspace-profile-decreasing",
+                "subspace-ratio-bound",
+                "subspace-sum-bound",
+            ],
+            "t": [1, 2],
+            "k": {"min": 2, "max": 4},
+            "l": [2, 3],
+            "q": [2, 3],
+            "n_policy": {"threshold_plus": [0, 3]},
+        }
+    ),
+}
 
-    def test_bad_env_rejected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CROSSFAM_WORKERS", "zero")
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"lemmas": ["set-profile-decreasing"], "t": [1], "k": [2]}))
-        code, _ = run_cli("verify-lemmas", str(cfg))
-        assert code == EXIT_INPUT
+GOLDEN_REPORTS = [
+    ("count-binom", ("count", "binom", "9", "4"), EXIT_OK,
+     "34b5bd876042c95c745fb1f6569bd6cad7c03a4a2c0f0a2806ddba97ad6a1268"),
+    ("count-gauss", ("count", "gauss", "5", "2", "3"), EXIT_OK,
+     "3dcea9abd0505d2dcfb67c5eb3b2f21aa48e551eeb915475cccd4db909b69e94"),
+    ("count-overlap", ("count", "overlap-count", "6", "3", "2", "1", "2"), EXIT_OK,
+     "62905b8f77449c05117ac797bf1235836a620183c0e81b2292203a312a99fa57"),
+    ("count-profile-set", ("count", "profile-set", "9", "3", "2", "1"), EXIT_OK,
+     "e284ef8190dc43591579e4b58be5cfdaf82346d91d1b83a87892902298c1e489"),
+    ("count-profile-subspace", ("count", "profile-subspace", "6", "3", "2", "1", "3"), EXIT_OK,
+     "5a9b9906e844305e95055eb356b1209a9fa2e67199d0684840854e39df04163f"),
+    ("count-cond-threshold", ("count", "cond-threshold", "3", "2"), EXIT_OK,
+     "9b080697f72cbd6bfdefe64a39e65084cad50a0d03f2dbdbc98ebc40d0a46f85"),
+    ("count-threshold-set", ("count", "threshold-set", "3", "2", "1"), EXIT_OK,
+     "bca4379a7698b38958dab1777e91243a840fac3e6b103b30fac14bdc7f246627"),
+    ("count-threshold-subspace", ("count", "threshold-subspace", "3", "2", "2", "1"), EXIT_OK,
+     "89efc9d5861e9fd0fc880037e855eac172c51b95700ef25b6382e3d36adbd4c8"),
+    ("sweep-all-lemmas", ("verify-lemmas", "sweep.json"), EXIT_OK,
+     "4f801c5f6b1e1a1f16e69b34181f99c39a6e3f65bc3384ac513a5c5f7c40556b"),
+    ("check-sets-holds", ("check-family", "star.txt", "star.txt", "--l", "2", "--t", "1"), EXIT_OK,
+     "47ad4cb7a6c94526e2fa29c1e392ba524dcbe5ae50b3e631bbf4c3e70a0ad67b"),
+    ("check-sets-fails", ("check-family", "star.txt", "breaker.txt", "--l", "2", "--t", "1"), EXIT_NEGATIVE,
+     "f688283b214786de7d69cb27526b880b2cecf243bb9918b15d81d0f2d5f18217"),
+    ("check-gf2-holds", ("check-family", "gf2_ok.txt", "gf2_ok.txt", "--l", "1", "--t", "1"), EXIT_OK,
+     "a6e79bcb2769a39589aa1aec88d28d28d5107571215ee3fc9430e509b6b160ed"),
+    ("check-gf2-fails", ("check-family", "gf2_ok.txt", "gf2_far.txt", "--l", "1", "--t", "1"), EXIT_NEGATIVE,
+     "3c12e0df0feabd6a19280c325b04b5cf40ed31805a415fed536c88dcbed2c97f"),
+    ("sunflower-sets", ("sunflower", "star.txt", "--t", "1", "--u", "3"), EXIT_OK,
+     "9c20ae34e2f486cc10b8b58ede891de0446b98f03223c69ab7e78630cf0b8d2a"),
+    ("sunflower-gf3", ("sunflower", "gf3_flower.txt", "--t", "1", "--u", "3"), EXIT_OK,
+     "48d5800c9ca6f75114c4c8426e9bd577ec13e65fc6384e9dec280e67f7ea0201"),
+    ("search-bb-layer", ("search", "sets", "--n", "5", "--k", "3", "--kp", "2", "--l", "1", "--t", "1"), EXIT_OK,
+     "94a9f46fa074c315c27d10c604da5c29a58b5989b333e7e42cb35484de78681c"),
+    ("search-bb-symmetry", ("search", "sets", "--n", "5", "--k", "2", "--kp", "2", "--l", "1", "--t", "1", "--symmetry"),
+     EXIT_OK, "1dc0aade493e393d6dad5148fb8c6bbd5fd74b5da91282c854aef2f0b95098d4"),
+    ("search-naive-layer", ("search", "sets", "--n", "4", "--k", "2", "--kp", "2", "--l", "2", "--t", "1", "--naive"),
+     EXIT_OK, "3125de5ab5e245ba72ea7ea3d4d98dbf5ed00501271bdca06709d950fee55225"),
+    ("search-bb-pool", ("search", "sets", "--n", "6", "--k", "3", "--kp", "3", "--l", "2", "--t", "1", "--pool", "pool.txt"),
+     EXIT_OK, "560c47d50ed6a3bcc3c1f54d60ff13c31f5e120be6f1185cf5cf7f62062bfd7f"),
+    ("search-naive-pool",
+     ("search", "sets", "--n", "6", "--k", "3", "--kp", "3", "--l", "2", "--t", "1", "--pool", "pool.txt", "--naive"),
+     EXIT_OK, "3ab559c7ce25d97f4fd70194cf4ea3b0e70ab129d76de36e8f645200c295d9fc"),
+    ("search-bb-gf2", ("search", "subspaces", "--q", "2", "--n", "3", "--k", "2", "--kp", "1", "--l", "1", "--t", "1"),
+     EXIT_OK, "e03c39246abb66eb2421e077d879f13d44bc4f3e92bc4a73483426309644da34"),
+]
+
+
+def golden_digest(text):
+    normalized = re.sub(r'"elapsed_s": [0-9.e+-]+', '"elapsed_s": 0', text)
+    return hashlib.sha256(normalized.encode()).hexdigest()
+
+
+@pytest.fixture
+def golden_dir(tmp_path, monkeypatch):
+    for name, content in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(content)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "argv,code,digest",
+    [pytest.param(*case[1:], id=case[0]) for case in GOLDEN_REPORTS],
+)
+def test_golden_report_body(golden_dir, argv, code, digest):
+    got_code, out = run_cli(*argv)
+    assert got_code == code
+    assert golden_digest(out) == digest
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("", "empty file, expected header 'n=<n> k=<k>'"),
+        ("\n  \nn=7\n1,2\n", "line 3: expected header 'n=<n> k=<k>'"),
+        ("k=2 n=7\n1,2\n", "line 1: expected header 'n=<n> k=<k>'"),
+        ("n=7 k=two\n1,2\n", "line 1: header values must be integers"),
+        ("\nn=7 k=9\n", "line 2: k must be in [1, 7] (got 9)"),
+        ("q=2\n1 0\n", "line 1: expected header 'q=<q> n=<n>'"),
+        ("q=2 n=3 k=1\n1 0 0\n", "line 1: expected header 'q=<q> n=<n>'"),
+        ("\nq=2 n=x\n1 0\n", "line 2: header values must be integers"),
+        ("q=4 n=3\n1 0 0\n", "line 1: q must be prime (got 4)"),
+        ("\n\nq=3 n=0\n", "line 3: n must be >= 1 (got 0)"),
+    ],
+)
+def test_golden_bad_header(golden_dir, capsys, text, message):
+    (golden_dir / "bad.txt").write_text(text)
+    code, out = run_cli("sunflower", "bad.txt", "--t", "1", "--u", "2")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert capsys.readouterr().err == f"error: bad.txt: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-lemmas", "sweep.json", "--workers", "2"),
+        ("search", "sets", "--n", "4", "--k", "2", "--kp", "2", "--l", "1", "--t", "1", "--workers", "1"),
+    ],
+)
+def test_workers_is_a_usage_error(golden_dir, argv):
+    code, out = run_cli(*argv)
+    assert code == EXIT_INPUT
+    assert out == ""

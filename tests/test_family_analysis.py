@@ -46,8 +46,8 @@ class TestSetFamily:
             SetFamily(4, 2, (0b0111,))
         with pytest.raises(ValueError, match="universe"):
             SetFamily(3, 2, (0b1001,))
-        with pytest.raises(ValueError):
-            SetFamily(65, 2, ())
+        with pytest.raises(ValueError, match="universe size"):
+            SetFamily(0, 0, ())
 
     def test_from_element_sets(self):
         fam = SetFamily.from_element_sets([[1, 2], [2, 4]], 4)
@@ -454,11 +454,19 @@ class TestSetFamilyFile:
         fam = SetFamily.from_element_sets([[1, 3, 5], [2, 4, 6]], 7)
         assert parse_set_family(format_set_family(fam)) == fam
 
+    def test_roundtrip_beyond_64_elements(self):
+        fam = SetFamily.from_element_sets([[1, 70], [2, 65], [64, 69]], 70)
+        text = format_set_family(fam)
+        assert text.splitlines()[1:] == ["1,70", "2,65", "64,69"]
+        assert parse_set_family(text) == fam
+
     def test_header_errors(self):
         with pytest.raises(FamilyFormatError, match="header"):
             parse_set_family("k=2 n=4\n1,2\n")
         with pytest.raises(FamilyFormatError, match="empty"):
             parse_set_family("")
+        with pytest.raises(FamilyFormatError, match=r"line 1: n must be >= 1 \(got 0\)"):
+            parse_set_family("n=0 k=1\n")
 
     def test_malformed_line_number(self):
         with pytest.raises(FamilyFormatError, match="line 3"):

@@ -259,3 +259,12 @@ class TestCertify:
         pool = CandidatePool.full_set_layer(4, 2, 2)
         broken = SearchResult(4, (0, 0), (1, 2), 0, True, 9)
         assert not certify(broken, pool, 1, 1)
+
+    def test_set_pool_beyond_64_elements(self):
+        members = (0b11, 0b101, 0b1001, 0b110, 0b110000, 1 | 1 << 69)
+        pool = CandidatePool.from_candidates("sets", 70, 2, 2, members, members)
+        bb = max_product_bb(pool, 1, 1)
+        naive = max_product_naive(pool, 1, 1)
+        assert bb.best_product == naive.best_product == 16
+        assert certify(bb, pool, 1, 1)
+        assert certify(naive, pool, 1, 1)
