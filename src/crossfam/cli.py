@@ -16,6 +16,7 @@ only in the manifest timing field.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -52,6 +53,7 @@ from .search_engine import (
     GuardExceeded,
     PoolTooLarge,
     SearchOptions,
+    certification_failure,
     certify,
     max_product_bb,
     max_product_naive,
@@ -255,13 +257,13 @@ def _pool_from_args(args) -> CandidatePool:
     if args.pool is None and args.pool_g is not None:
         raise CliInputError("--pool-g without --pool")
     if args.pool is None:
-        if args.universe == "sets":
-            return CandidatePool.full_set_layer(args.n, args.k, args.kp)
         try:
+            if args.universe == "sets":
+                return CandidatePool.full_set_layer(args.n, args.k, args.kp)
             return CandidatePool.full_subspace_layer(
                 args.n, args.k, args.kp, args.q, cap=args.cap
             )
-        except EnumerationCapExceeded as exc:
+        except (EnumerationCapExceeded, ValueError) as exc:
             raise CliInputError(str(exc))
 
     fam_f = _load_family(args.pool)
@@ -329,7 +331,10 @@ def _cmd_search(args, out) -> int:
     }
     _emit(document, out)
     if not certified:
-        print("internal error: search result failed certification", file=sys.stderr)
+        # certify is the check every search runs; the reason is worked out
+        # again only on this path
+        reason = certification_failure(result, pool, args.l, args.t)
+        print(f"internal error: search result failed certification: {reason}", file=sys.stderr)
         return EXIT_NEGATIVE
     return EXIT_OK
 
@@ -388,11 +393,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused after it.
+    argparse looks up sys.stdout and sys.stderr when it prints, so a reused
+    parser still writes to the streams current at each call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses 2 for usage errors; --version/--help exit 0
         return int(exc.code or 0)

@@ -13,6 +13,7 @@ order is the lexicographic order of canonical matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
@@ -289,17 +290,23 @@ def enumerate_subspaces(
     return SubspaceFamily(n, q, k, tuple(members))
 
 
+@lru_cache(maxsize=64)
+def _inner_layer(dim: int, t: int, q: int) -> tuple[Subspace, ...]:
+    """The t-subspaces of F_q^dim, enumerated once per (dim, t, q) and shared
+    by every ``subspaces_of`` call on a dim-dimensional space."""
+    return enumerate_subspaces(dim, t, q).members
+
+
 def subspaces_of(space: Subspace, t: int) -> list[Subspace]:
     """All t-dimensional subspaces of ``space``, as ambient Subspace values.
 
-    Enumerates the t-subspaces of F_q^dim and maps their basis rows through
-    the space's basis, so the cost depends on dim, never on the ambient n.
+    Maps the basis rows of the t-subspaces of F_q^dim through the space's
+    basis, so the cost depends on dim, never on the ambient n.
     """
     if not 0 <= t <= space.dim:
         return []
-    inner = enumerate_subspaces(space.dim, t, space.q)
     out = []
-    for small in inner.members:
+    for small in _inner_layer(space.dim, t, space.q):
         rows = []
         for coeffs in small.rows:
             vec = [0] * space.n

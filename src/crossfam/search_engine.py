@@ -8,13 +8,21 @@ Two engines share nothing but the pool:
   feasible iff it contains no ell-by-ell tuple whose overlap total is below
   the threshold), which is an exact reformulation of the condition and keeps
   the full enumeration affordable at guard scale.
-* ``max_product_bb`` branches on include/exclude of each candidate, seeds its
-  incumbent with the best star pair available inside the pool, prunes by the
-  product bound and by condition violations (a violating tuple can never be
-  repaired by adding members), and re-checks feasibility through the
-  family_analysis checker route.
+* ``max_product_bb`` branches on include/exclude of each candidate, depth
+  first from an explicit stack, with every set of candidates held as an
+  integer bitmask over candidate indices.  Its incumbent starts at the best
+  star pair inside the pool, found in one pass per side that maps each
+  t-core to the mask of candidates containing it.  Each side carries a
+  still-addable mask: the candidates that can join the current pair without
+  a violating tuple.  A violating tuple is never repaired by adding members,
+  so the masks only shrink: at ell = 1 by ANDing per-candidate compatibility
+  masks, at ell >= 2 from the overlap totals of each chosen ell-subset with
+  its ell - 1 smallest cross-side totals, kept up to date on each include.
+  The product bound is two popcounts of the remaining candidates (at
+  ell = 1 only the still-addable ones).
 
-Both are exact and deterministic; their agreement is a two-route check.
+Both are exact and deterministic; their agreement is a two-route check, and
+``certify`` re-verifies a witness through the family_analysis checker.
 """
 
 from __future__ import annotations
@@ -29,7 +37,6 @@ from .family_analysis import (
     is_weakly_cross_intersecting,
     mask_from_indices,
     mask_indices,
-    member_contains_core,
     member_overlap,
 )
 from .gf_subspaces import (
@@ -50,6 +57,7 @@ __all__ = [
     "max_product_naive",
     "max_product_bb",
     "certify",
+    "certification_failure",
 ]
 
 NAIVE_SIDE_LIMIT = 20
@@ -61,6 +69,14 @@ class GuardExceeded(ValueError):
 
 class PoolTooLarge(ValueError):
     """Pool is too large for the configured branch-and-bound limits."""
+
+
+def _check_sizes(n: int, k: int, kp: int) -> None:
+    if n < 1:
+        raise ValueError(f"n must be >= 1 (got {n})")
+    for name, size in (("k", k), ("kp", kp)):
+        if not 0 <= size <= n:
+            raise ValueError(f"need 0 <= {name} <= n (got {name}={size}, n={n})")
 
 
 @dataclass(frozen=True)
@@ -81,6 +97,7 @@ class CandidatePool:
             raise ValueError(f"kind must be 'sets' or 'subspaces' (got {self.kind!r})")
         if self.kind == "subspaces" and self.q is None:
             raise ValueError("subspace pools need q")
+        _check_sizes(self.n, self.k, self.kp)
         for cands, size, side in (
             (self.candidates_f, self.k, "F"),
             (self.candidates_g, self.kp, "G"),
@@ -103,6 +120,7 @@ class CandidatePool:
     def full_set_layer(cls, n: int, k: int, kp: int) -> "CandidatePool":
         """Both full layers: all k-subsets and all kp-subsets of [n], each in
         lexicographic element order."""
+        _check_sizes(n, k, kp)
 
         def layer(size: int) -> tuple[int, ...]:
             return tuple(mask_from_indices(combo) for combo in combinations(range(n), size))
@@ -113,6 +131,7 @@ class CandidatePool:
     def full_subspace_layer(
         cls, n: int, k: int, kp: int, q: int, cap: int = DEFAULT_ENUMERATION_CAP
     ) -> "CandidatePool":
+        _check_sizes(n, k, kp)
         f_layer = enumerate_subspaces(n, k, q, cap).members
         g_layer = f_layer if kp == k else enumerate_subspaces(n, kp, q, cap).members
         return cls("subspaces", n, q, k, kp, f_layer, g_layer)
@@ -207,40 +226,42 @@ def _family_from_indices(pool: CandidatePool, side: str, indices: Sequence[int])
     return SubspaceFamily(pool.n, pool.q, size, members)
 
 
-def _candidate_cores(pool: CandidatePool, t: int) -> list:
-    """Every t-core achieving a nonzero star product is contained in some
-    F-side candidate, so enumerating the t-subsets/t-subspaces of the F
-    candidates covers all useful cores without touching the ambient space."""
-    if pool.kind == "sets":
-        cores = set()
-        for member in pool.candidates_f:
-            for combo in combinations(mask_indices(member), t):
-                cores.add(mask_from_indices(combo))
-        return sorted(cores)
-    seen = {}
-    for member in pool.candidates_f:
-        for core in subspaces_of(member, t):
-            seen[core.rows] = core
-    return [seen[key] for key in sorted(seen)]
+def _core_masks(pool: CandidatePool, cands: tuple, t: int) -> dict:
+    """Map every t-core lying in some candidate of one side to the mask of
+    the candidates containing it, in one pass over the side.  A core is keyed
+    by its mask for sets and by its canonical rows for subspaces, so sorting
+    the keys gives the core order."""
+    out: dict = {}
+    for i, member in enumerate(cands):
+        if pool.kind == "sets":
+            cores = (mask_from_indices(c) for c in combinations(mask_indices(member), t))
+        else:
+            cores = (core.rows for core in subspaces_of(member, t))
+        for core in cores:
+            out[core] = out.get(core, 0) | 1 << i
+    return out
 
 
 def _best_star_pair(
     pool: CandidatePool, t: int
 ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """Largest product achieved by restricting both sides to the candidates
-    containing a common t-core.  Always feasible; the empty pair is the
-    fallback."""
+    containing a common t-core.  Every core with a nonzero product lies in
+    some F candidate, so the candidates' own t-subsets/t-subspaces cover them
+    without touching the ambient space; cores are tried in sorted order and
+    the first strictly better one wins.  Always feasible; the empty pair is
+    the fallback."""
+    f_cores = _core_masks(pool, pool.candidates_f, t)
+    if pool.candidates_g == pool.candidates_f:
+        g_cores = f_cores
+    else:
+        g_cores = _core_masks(pool, pool.candidates_g, t)
     best = (0, (), ())
-    for core in _candidate_cores(pool, t):
-        f_idx = tuple(
-            i for i, c in enumerate(pool.candidates_f) if member_contains_core(c, core)
-        )
-        g_idx = tuple(
-            j for j, c in enumerate(pool.candidates_g) if member_contains_core(c, core)
-        )
-        product = len(f_idx) * len(g_idx)
+    for core in sorted(f_cores):
+        f_mask, g_mask = f_cores[core], g_cores.get(core, 0)
+        product = f_mask.bit_count() * g_mask.bit_count()
         if product > best[0]:
-            best = (product, f_idx, g_idx)
+            best = (product, mask_indices(f_mask), mask_indices(g_mask))
     return best
 
 
@@ -318,6 +339,102 @@ def _symmetry_forced_index(pool: CandidatePool) -> int:
     return pool.candidates_f.index((1 << pool.k) - 1)
 
 
+def _at_least_masks(sums: list[int], threshold: int) -> list[int]:
+    """out[v] = mask of the candidates c with sums[c] >= v, for 0 <= v <=
+    threshold."""
+    out = [0] * (threshold + 1)
+    for c, value in enumerate(sums):
+        out[min(value, threshold)] |= 1 << c
+    for v in range(threshold - 1, -1, -1):
+        out[v] |= out[v + 1]
+    return out
+
+
+def _tuple_entry(
+    members: tuple[int, ...], side: tuple, cross_chosen: tuple[int, ...], ell: int, threshold: int
+) -> tuple[list[int], list[int], list[int]]:
+    """Entry for the chosen ell-subset ``members`` of one side, given that
+    side's (rows, memo): its overlap totals with every cross-side candidate,
+    their at-least masks, and the ell - 1 smallest totals over the chosen
+    cross side."""
+    rows, memo = side
+    hit = memo.get(members)
+    if hit is None:
+        sums = [sum(col) for col in zip(*(rows[i] for i in members))]
+        hit = memo[members] = (sums, _at_least_masks(sums, threshold))
+    sums, at_least = hit
+    return sums, at_least, sorted(map(sums.__getitem__, cross_chosen))[: ell - 1]
+
+
+def _grown_tuples(
+    idx: int,
+    own_chosen: tuple[int, ...],
+    cross_chosen: tuple[int, ...],
+    own_tuples: list,
+    cross_tuples: list,
+    ok_own: int,
+    ok_cross: int,
+    live_own: int,
+    live_cross: int,
+    own_side: tuple,
+    cross_side: tuple,
+    ell: int,
+    threshold: int,
+) -> tuple[list, list, int, int]:
+    """Tuple entries and still-addable masks of both sides after candidate
+    ``idx`` joins its side, at ell >= 2.
+
+    A side keeps one entry per chosen ell-subset (see ``_tuple_entry``) once
+    the cross side has ell - 1 chosen members; before that no cross-side
+    candidate can complete a violating tuple.  An entry lets the cross-side
+    candidates c with sums[c] >= threshold - sum(low) join, and a candidate
+    joins without a violating tuple iff every entry lets it.  Each mask is
+    the AND of those passing masks; they only shrink as the pair grows, so
+    ANDing in the mask of each new or changed entry keeps the AND exact.
+
+    ``live_*`` are the candidates still to be branched on.  Entries only
+    decide the cross side's live still-addable candidates, and both masks
+    only shrink, so once a side has none the entries deciding it are
+    neither built nor kept up to date.
+    """
+    lows = ell - 1
+    grown = len(own_chosen) + 1
+    if ok_own & live_own and grown == lows:
+        # the cross side's entries start to count
+        joined = (*own_chosen, idx)
+        cross_tuples = [
+            _tuple_entry(members, cross_side, joined, ell, threshold)
+            for members in combinations(cross_chosen, ell)
+        ]
+        for _, at_least, low in cross_tuples:
+            need = threshold - sum(low)
+            if need > 0:
+                ok_own &= at_least[need]
+    elif ok_own & live_own and grown > lows:
+        updated = []
+        for entry in cross_tuples:
+            sums, at_least, low = entry
+            value = sums[idx]
+            if value >= low[-1]:
+                updated.append(entry)
+                continue
+            low = sorted(low + [value])[:lows]
+            need = threshold - sum(low)
+            if need > 0:
+                ok_own &= at_least[need]
+            updated.append((sums, at_least, low))
+        cross_tuples = updated
+    if len(cross_chosen) >= lows and ok_cross & live_cross:
+        own_tuples = list(own_tuples)
+        for rest in combinations(own_chosen, lows):
+            entry = _tuple_entry((idx, *rest), own_side, cross_chosen, ell, threshold)
+            need = threshold - sum(entry[2])
+            if need > 0:
+                ok_cross &= entry[1][need]
+            own_tuples.append(entry)
+    return own_tuples, cross_tuples, ok_own, ok_cross
+
+
 def max_product_bb(
     pool: CandidatePool, ell: int, t: int, options: SearchOptions | None = None
 ) -> SearchResult:
@@ -339,24 +456,18 @@ def max_product_bb(
     star = star_lower_bound(pool.n, pool.k, pool.kp, t, pool.q)
     threshold = condition_threshold(ell, t)
     weights = _weights(pool)
+    columns = [list(col) for col in zip(*weights)] if fcount else [[] for _ in range(gcount)]
 
-    seed = _best_star_pair(pool, t)
-    best_product = seed[0]
-    best_f, best_g = seed[1], seed[2]
+    best_product, best_f, best_g = _best_star_pair(pool, t)
 
     forced_front: int | None = None
     if opts.symmetry_reduction:
         forced_front = _symmetry_forced_index(pool)
 
-    def conflict_degree(side: str, idx: int) -> int:
-        if side == "f":
-            return sum(1 for j in range(gcount) if weights[idx][j] < t)
-        return sum(1 for i in range(fcount) if weights[i][idx] < t)
-
     # most-conflicted candidates first, alternating sides so partial pairs
     # accrue cross constraints early instead of one side being settled blind
-    f_order = sorted(range(fcount), key=lambda i: (-conflict_degree("f", i), i))
-    g_order = sorted(range(gcount), key=lambda j: (-conflict_degree("g", j), j))
+    f_order = sorted(range(fcount), key=lambda i: (-sum(w < t for w in weights[i]), i))
+    g_order = sorted(range(gcount), key=lambda j: (-sum(w < t for w in columns[j]), j))
     order: list[tuple[str, int]] = []
     for pos in range(max(fcount, gcount)):
         if pos < fcount:
@@ -367,99 +478,120 @@ def max_product_bb(
         order.remove(("f", forced_front))
         order.insert(0, ("f", forced_front))
 
+    # suffix[pos]: the candidates of each side at positions >= pos
     total = len(order)
-    suffix_f = [0] * (total + 1)
-    suffix_g = [0] * (total + 1)
+    suffix = [(0, 0)] * (total + 1)
     for pos in range(total - 1, -1, -1):
-        side, _ = order[pos]
-        suffix_f[pos] = suffix_f[pos + 1] + (side == "f")
-        suffix_g[pos] = suffix_g[pos + 1] + (side == "g")
+        side, idx = order[pos]
+        sf, sg = suffix[pos + 1]
+        suffix[pos] = (sf | 1 << idx, sg) if side == "f" else (sf, sg | 1 << idx)
 
-    chosen_f: list[int] = []
-    chosen_g: list[int] = []
+    # ok_f / ok_g: the candidates of each side that can still join the
+    # current pair without a violating tuple; a violation is never repaired
+    # by adding members, so they only shrink.  At ell = 1 a violating tuple
+    # is a single pair, so including F candidate i narrows ok_g to compat_f[i]
+    # (the G candidates meeting it in at least the threshold), and the bound
+    # counts only still-addable candidates.  At ell >= 2 _grown_tuples keeps
+    # the masks, and keep_f / keep_g count every remaining candidate in the
+    # bound, as a suffix count.
+    full_f, full_g = (1 << fcount) - 1, (1 << gcount) - 1
+    compat_f = [mask_from_indices(j for j, w in enumerate(r) if w >= threshold) for r in weights]
+    compat_g = [mask_from_indices(i for i, w in enumerate(c) if w >= threshold) for c in columns]
+    keep_f, keep_g = (0, 0) if ell == 1 else (full_f, full_g)
+    f_side = (weights, {})
+    g_side = (columns, {})
+
+    limit = opts.max_nodes
+    forced = forced_front is not None
     nodes = 0
     exhausted = False
-
-    def feasible_with(side: str, idx: int) -> bool:
-        # the current pair is feasible; new violating tuples must use idx
-        if side == "f":
-            if len(chosen_f) + 1 < ell or len(chosen_g) < ell:
-                return True
-            if ell == 1:
-                return min(weights[idx][j] for j in chosen_g) >= threshold
-            for tt in combinations(chosen_g, ell):
-                mine = sum(weights[idx][j] for j in tt)
-                others = sorted(sum(weights[i][j] for j in tt) for i in chosen_f)
-                if mine + sum(others[: ell - 1]) < threshold:
-                    return False
-            return True
-        if len(chosen_g) + 1 < ell or len(chosen_f) < ell:
-            return True
-        if ell == 1:
-            return min(weights[i][idx] for i in chosen_f) >= threshold
-        for ss in combinations(chosen_f, ell):
-            mine = sum(weights[i][idx] for i in ss)
-            others = sorted(sum(weights[i][j] for i in ss) for j in chosen_g)
-            if mine + sum(others[: ell - 1]) < threshold:
-                return False
-        return True
-
-    def attainable(pos: int) -> int:
-        # at ell = 1 a candidate that already under-intersects a chosen
-        # cross-side member can never be added (violations are permanent),
-        # so it is excluded from the remaining count
-        if ell == 1 and (chosen_f or chosen_g):
-            f_rem = sum(
-                1
-                for side, i in order[pos:]
-                if side == "f" and all(weights[i][j] >= threshold for j in chosen_g)
-            )
-            g_rem = sum(
-                1
-                for side, j in order[pos:]
-                if side == "g" and all(weights[i][j] >= threshold for i in chosen_f)
-            )
-            return (len(chosen_f) + f_rem) * (len(chosen_g) + g_rem)
-        return (len(chosen_f) + suffix_f[pos]) * (len(chosen_g) + suffix_g[pos])
-
-    def visit(pos: int) -> None:
-        nonlocal nodes, exhausted, best_product, best_f, best_g
-        if exhausted:
-            return
+    # depth-first, include before exclude; a frame is (pos, chosen_f,
+    # chosen_g, ok_f, ok_g, tuples_f, tuples_g): the chosen indices in the
+    # order they joined, the still-addable masks, and the ell >= 2 tuple
+    # entries of _grown_tuples
+    stack = [(0, (), (), full_f, full_g, [], [])]
+    while stack:
+        pos, chosen_f, chosen_g, ok_f, ok_g, tuples_f, tuples_g = stack.pop()
         nodes += 1
-        if opts.max_nodes is not None and nodes > opts.max_nodes:
+        if limit is not None and nodes > limit:
             exhausted = True
-            return
-        if attainable(pos) <= best_product:
-            return
+            break
+        nf, ng = len(chosen_f), len(chosen_g)
+        sf, sg = suffix[pos]
+        bound_f = nf + ((ok_f | keep_f) & sf).bit_count()
+        if bound_f * (ng + ((ok_g | keep_g) & sg).bit_count()) <= best_product:
+            continue
         if pos == total:
-            return
+            continue
+        if pos or not forced:
+            stack.append((pos + 1, chosen_f, chosen_g, ok_f, ok_g, tuples_f, tuples_g))
         side, idx = order[pos]
-        if feasible_with(side, idx):
-            chosen = chosen_f if side == "f" else chosen_g
-            chosen.append(idx)
-            product = len(chosen_f) * len(chosen_g)
-            if product > best_product:
-                best_product = product
-                best_f = tuple(sorted(chosen_f))
-                best_g = tuple(sorted(chosen_g))
-            visit(pos + 1)
-            chosen.pop()
-        if not (forced_front is not None and pos == 0):
-            visit(pos + 1)
+        if side == "f":
+            if not ok_f >> idx & 1:
+                continue
+            if ell == 1:
+                ok_g &= compat_f[idx]
+            else:
+                live_f, live_g = suffix[pos + 1]
+                tuples_f, tuples_g, ok_f, ok_g = _grown_tuples(
+                    idx, chosen_f, chosen_g, tuples_f, tuples_g, ok_f, ok_g,
+                    live_f, live_g, f_side, g_side, ell, threshold,
+                )
+            chosen_f += (idx,)
+            nf += 1
+        else:
+            if not ok_g >> idx & 1:
+                continue
+            if ell == 1:
+                ok_f &= compat_g[idx]
+            else:
+                live_f, live_g = suffix[pos + 1]
+                tuples_g, tuples_f, ok_g, ok_f = _grown_tuples(
+                    idx, chosen_g, chosen_f, tuples_g, tuples_f, ok_g, ok_f,
+                    live_g, live_f, g_side, f_side, ell, threshold,
+                )
+            chosen_g += (idx,)
+            ng += 1
+        if nf * ng > best_product:
+            best_product = nf * ng
+            best_f, best_g = tuple(sorted(chosen_f)), tuple(sorted(chosen_g))
+        stack.append((pos + 1, chosen_f, chosen_g, ok_f, ok_g, tuples_f, tuples_g))
 
-    visit(0)
     return SearchResult(best_product, best_f, best_g, nodes, not exhausted, star)
 
 
+def certification_failure(
+    result: SearchResult, pool: CandidatePool, ell: int, t: int
+) -> str | None:
+    """Re-verify a search witness through the condition checker and
+    recompute its product; None if everything is consistent, else the
+    reason it is not."""
+    families = []
+    for side, indices in (("F", result.best_f), ("G", result.best_g)):
+        try:
+            families.append(_family_from_indices(pool, side.lower(), indices))
+        except IndexError:
+            return f"{side} witness {list(indices)} indexes outside the pool"
+        except ValueError as exc:
+            return f"{side} witness {list(indices)} is not a family: {exc}"
+    fam_f, fam_g = families
+    product = len(result.best_f) * len(result.best_g)
+    if product != result.best_product:
+        return (
+            f"best_product {result.best_product} differs from |F| * |G| = "
+            f"{len(result.best_f)} * {len(result.best_g)}"
+        )
+    report = is_weakly_cross_intersecting(fam_f, fam_g, ell, t)
+    if not report.satisfied:
+        rows, cols = report.witness
+        return (
+            f"F members {[result.best_f[r] for r in rows]} and G members "
+            f"{[result.best_g[c] for c in cols]} have overlap total "
+            f"{report.min_sum}, below the threshold {report.threshold}"
+        )
+    return None
+
+
 def certify(result: SearchResult, pool: CandidatePool, ell: int, t: int) -> bool:
-    """Re-verify a search witness through the condition checker and recompute
-    its product; True iff everything is consistent."""
-    try:
-        fam_f = _family_from_indices(pool, "f", result.best_f)
-        fam_g = _family_from_indices(pool, "g", result.best_g)
-    except (ValueError, IndexError):
-        return False
-    if len(result.best_f) * len(result.best_g) != result.best_product:
-        return False
-    return is_weakly_cross_intersecting(fam_f, fam_g, ell, t).satisfied
+    """True iff ``certification_failure`` finds nothing wrong."""
+    return certification_failure(result, pool, ell, t) is None

@@ -6,7 +6,7 @@ that agreement is a genuine two-route check.
 """
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from crossfam.family_analysis import SetFamily
 from crossfam.gf_subspaces import Subspace, SubspaceFamily
@@ -54,6 +54,36 @@ def brute_min_tuple_sum(w, ell):
             if best is None or cand < best:
                 best = cand
     return best[0], (best[1], best[2])
+
+
+def _points(member):
+    """The elements of a set mask, or every vector of a subspace."""
+    if isinstance(member, int):
+        return {e for e in range(member.bit_length()) if member >> e & 1}
+    return set(member.vectors())
+
+
+def brute_best_star_pair(n, q, cands_f, cands_g, t):
+    """Best star pair over every t-core of the ambient space: the largest
+    |F'| * |G'| where F' and G' are the candidates containing a common core,
+    as (product, F indices, G indices).  Cores are tried in sorted order
+    (masks for sets, where q is None; canonical rows for subspaces) and the
+    first strictly better one is kept.  Containment is decided on elements
+    and on vectors."""
+    if q is None:
+        cores = sorted(sum(1 << e for e in combo) for combo in combinations(range(n), t))
+    else:
+        nonzero = [v for v in product(range(q), repeat=n) if any(v)]
+        spans = (Subspace.from_vectors(vs, n, q) for vs in combinations(nonzero, t))
+        cores = [Subspace(n, q, rows) for rows in sorted({s.rows for s in spans if s.dim == t})]
+    best = (0, (), ())
+    for core in cores:
+        inside = _points(core)
+        f_idx = tuple(i for i, c in enumerate(cands_f) if inside <= _points(c))
+        g_idx = tuple(j for j, c in enumerate(cands_g) if inside <= _points(c))
+        if len(f_idx) * len(g_idx) > best[0]:
+            best = (len(f_idx) * len(g_idx), f_idx, g_idx)
+    return best
 
 
 def masks_from_sets(element_sets, n):

@@ -287,6 +287,64 @@ class TestSearch:
         assert document["certified"] is True
 
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("sets", "--n", "0", "--k", "0", "--kp", "0"), "n must be >= 1 (got 0)"),
+            (("sets", "--n", "3", "--k", "5", "--kp", "1"), "need 0 <= k <= n (got k=5, n=3)"),
+            (
+                ("subspaces", "--q", "2", "--n", "3", "--k", "5", "--kp", "1"),
+                "need 0 <= k <= n (got k=5, n=3)",
+            ),
+            (
+                ("subspaces", "--q", "2", "--n", "3", "--k", "1", "--kp", "4"),
+                "need 0 <= kp <= n (got kp=4, n=3)",
+            ),
+        ],
+    )
+    def test_bad_sizes_exit_2_naming_the_parameter(self, capsys, argv, message):
+        code, out = run_cli("search", *argv, "--l", "1", "--t", "1")
+        assert code == EXIT_INPUT
+        assert out == ""
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_failed_certification_names_the_reason(self, capsys, monkeypatch):
+        import crossfam.cli as cli
+        from crossfam.search_engine import SearchResult
+
+        # {1,2} and {3,4} are candidates 0 and 5 of the n=4 layer: disjoint
+        monkeypatch.setattr(
+            cli, "max_product_bb", lambda *args: SearchResult(1, (0,), (5,), 1, True, 9)
+        )
+        code, out = run_cli(
+            "search", "sets", "--n", "4", "--k", "2", "--kp", "2", "--l", "1", "--t", "1"
+        )
+        assert code == EXIT_NEGATIVE
+        assert validate_document(out)["certified"] is False
+        assert capsys.readouterr().err == (
+            "internal error: search result failed certification: F members [0] and "
+            "G members [5] have overlap total 0, below the threshold 1\n"
+        )
+
+
+class TestParser:
+    def test_built_once(self, monkeypatch):
+        import crossfam.cli as cli
+
+        run_cli("count", "binom", "5", "2")
+        monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+        code, out = run_cli("count", "binom", "5", "2")
+        assert code == EXIT_OK
+        assert json.loads(out)["value"] == 10
+
+    def test_usage_errors_reach_the_current_stderr(self, capsys):
+        for _ in range(2):
+            code, out = run_cli("count", "no-such-query")
+            assert code == EXIT_INPUT
+            assert out == ""
+            assert "invalid choice: 'no-such-query'" in capsys.readouterr().err
+
+
 class TestVerifyLemmas:
     def test_small_sweep_exit_0(self, tmp_path):
         cfg = tmp_path / "cfg.json"
