@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add
 from typing import Iterable, Sequence, Union
 
 from .exact_arith import binomial, condition_threshold, gaussian_binomial
@@ -191,10 +192,12 @@ def min_tuple_sum(
     """Exact minimum of sum_{i in S, j in T} w[i][j] over all ell-subsets S of
     rows and T of columns, with the minimizing (S, T) witness.
 
-    The sum separates over rows once T is fixed, so for each ell-subset of the
-    smaller side the optimal complementary subset is the ell indices with the
-    smallest restricted sums; picking them by (value, index) also yields the
-    lexicographically smallest witness among minimizers.
+    The sum separates over the other side once the subset of the smaller side
+    is fixed, so for each such subset the optimal complementary subset is the
+    ell indices with the smallest restricted sums; picking them by (value,
+    index) also yields the lexicographically smallest witness among
+    minimizers.  The subsets are walked depth first in lexicographic order,
+    each level adding one line to its parent's restricted sums.
     """
     if ell < 1:
         raise ValueError(f"ell must be >= 1 (got {ell})")
@@ -202,24 +205,34 @@ def min_tuple_sum(
         raise ValueError(
             f"ell={ell} exceeds matrix shape {matrix.rows}x{matrix.cols}"
         )
-    w = matrix.w
+    by_cols = matrix.cols <= matrix.rows
+    lines = list(zip(*matrix.w)) if by_cols else matrix.w
+    count = len(lines)
+    other = range(len(lines[0]))
+    # best = (sum, S, T); the walked subsets ascend, so a later one with an
+    # equal sum can only win when it is T (walking columns) and its S is less
     best: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
-    if matrix.cols <= matrix.rows:
-        for t_cols in combinations(range(matrix.cols), ell):
-            sums = sorted((sum(w[i][j] for j in t_cols), i) for i in range(matrix.rows))
-            total = sum(v for v, _ in sums[:ell])
-            s_rows = tuple(sorted(i for _, i in sums[:ell]))
-            cand = (total, s_rows, t_cols)
-            if best is None or cand < best:
-                best = cand
-    else:
-        for s_rows in combinations(range(matrix.rows), ell):
-            sums = sorted((sum(w[i][j] for i in s_rows), j) for j in range(matrix.cols))
-            total = sum(v for v, _ in sums[:ell])
-            t_cols = tuple(sorted(j for _, j in sums[:ell]))
-            cand = (total, s_rows, t_cols)
-            if best is None or cand < best:
-                best = cand
+
+    def leaf(chosen: tuple[int, ...], sums: Sequence[int]) -> None:
+        nonlocal best
+        total = sum(sorted(sums)[:ell])
+        if best is not None and (total > best[0] or (total == best[0] and not by_cols)):
+            return
+        picked = tuple(sorted(i for _, i in sorted(zip(sums, other))[:ell]))
+        cand = (total, picked, chosen) if by_cols else (total, chosen, picked)
+        if best is None or cand < best:
+            best = cand
+
+    def walk(start: int, chosen: tuple[int, ...], sums: Sequence[int]) -> None:
+        last = len(chosen) + 1 == ell
+        for j in range(start, count - ell + len(chosen) + 1):
+            line_sums = list(map(add, sums, lines[j])) if chosen else lines[j]
+            if last:
+                leaf(chosen + (j,), line_sums)
+            else:
+                walk(j + 1, chosen + (j,), line_sums)
+
+    walk(0, (), ())
     assert best is not None
     return best[0], (best[1], best[2])
 
@@ -316,8 +329,10 @@ def find_sunflowers(f: Family, t: int, u: int) -> list[Sunflower]:
         raise ValueError(f"kernel size must satisfy 0 <= t < k (got t={t}, k={k})")
     members = f.members
     kernels: dict = {}
+    meet_in_t: set[tuple[int, int]] = set()
     for i, j in combinations(range(len(members)), 2):
         if member_overlap(members[i], members[j]) == t:
+            meet_in_t.add((i, j))
             kernel = _exact_overlap(members[i], members[j])
             kernels[_core_sort_key(kernel)] = kernel
     out: list[Sunflower] = []
@@ -328,10 +343,11 @@ def find_sunflowers(f: Family, t: int, u: int) -> list[Sunflower]:
             for idx, m in enumerate(members)
             if member_contains_core(m, kernel)
         ]
+        # two holders both contain the t-kernel, so they meet exactly in it
+        # iff their overlap is t
         adj: dict[int, set[int]] = {v: set() for v in holders}
         for a, b in combinations(holders, 2):
-            inter = _exact_overlap(members[a], members[b])
-            if inter == kernel:
+            if (a, b) in meet_in_t:
                 adj[a].add(b)
                 adj[b].add(a)
         for clique in _maximal_cliques(holders, adj):

@@ -3,7 +3,9 @@
 A subspace of F_q^n is represented by its reduced row echelon basis, stored
 as a tuple of row tuples.  RREF is the unique canonical representative of a
 row space, so Subspace values compare and hash structurally; two values are
-equal iff they are the same subspace.
+equal iff they are the same subspace.  Over F_2 elimination runs on rows
+packed into ints, and each Subspace keeps its basis keyed by pivot (packed
+for q = 2) once an intersection has asked for it.
 
 Enumeration walks the RREF matrices directly (pivot-column pattern plus free
 entries), producing every subspace exactly once, then sorts so the returned
@@ -13,7 +15,7 @@ order is the lexicographic order of canonical matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
@@ -89,6 +91,47 @@ def _require_prime(q: int) -> None:
         raise ValueError(f"q must be prime (got {q}); prime powers are not supported")
 
 
+def _check_entries(row: Sequence[int], q: int) -> None:
+    for x in row:
+        if not isinstance(x, int) or not 0 <= x < q:
+            raise ValueError(f"entries must be integers in [0, {q}) (got {x!r})")
+
+
+# --- packed rows over F_2 ---------------------------------------------------
+#
+# A row over F_2 is held as one int with a byte per column, column 0 in the
+# most significant byte, so XOR adds two rows and bit_length names the
+# leading column.  Packing and unpacking are single bytes conversions.
+
+
+def _pack2(row: Sequence[int]) -> int:
+    return int.from_bytes(bytes(row), "big")
+
+
+def _rref2(packed: Iterable[int]) -> list[int]:
+    """Reduced row echelon form of packed F_2 rows, in row order (leading
+    column ascending, so bit_length descending), zero rows dropped."""
+    table: dict[int, int] = {}  # bit_length of the leading 1 -> row
+    for r in packed:
+        while r:
+            p = table.get(r.bit_length())
+            if p is None:
+                table[r.bit_length()] = r
+                break
+            r ^= p
+    # clear each pivot from the rows above it, lowest pivot first, so the
+    # rows used for clearing are already fully reduced
+    out: list[int] = []
+    for length in sorted(table):
+        r = table[length]
+        for p in out:
+            if r >> (p.bit_length() - 1) & 1:
+                r ^= p
+        out.append(r)
+    out.reverse()
+    return out
+
+
 def rref(matrix: Iterable[Sequence[int]], q: int) -> tuple[tuple[int, ...], ...]:
     """Reduced row echelon form over F_q: leading 1s, zeros above and below
     each pivot, pivot columns strictly increasing, zero rows dropped.
@@ -103,9 +146,9 @@ def rref(matrix: Iterable[Sequence[int]], q: int) -> tuple[tuple[int, ...], ...]
     for r in rows:
         if len(r) != width:
             raise ValueError("rows must all have the same length")
-        for x in r:
-            if not isinstance(x, int) or not 0 <= x < q:
-                raise ValueError(f"entries must be integers in [0, {q}) (got {x!r})")
+        _check_entries(r, q)
+    if q == 2:
+        return tuple(tuple(r.to_bytes(width, "big")) for r in _rref2(map(_pack2, rows)))
     pivot = 0
     for col in range(width):
         src = next((r for r in range(pivot, len(rows)) if rows[r][col]), None)
@@ -125,12 +168,33 @@ def rref(matrix: Iterable[Sequence[int]], q: int) -> tuple[tuple[int, ...], ...]
     return tuple(tuple(r) for r in rows[:pivot])
 
 
+def _leading_column(row: Sequence[int]) -> int | None:
+    return next((c for c, x in enumerate(row) if x), None)
+
+
+def _is_rref(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether rows (entries already in [0, q)) are in reduced row echelon
+    form: no zero rows, leading entries 1 in strictly increasing columns, and
+    every other row 0 in each pivot column.  The rows below a pivot lead
+    further right, so only the rows above it need looking at."""
+    last = -1
+    for i, r in enumerate(rows):
+        lead = _leading_column(r)
+        if lead is None or lead <= last or r[lead] != 1:
+            return False
+        if any(rows[h][lead] for h in range(i)):
+            return False
+        last = lead
+    return True
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of F_q^n held as its canonical RREF basis.
 
-    ``rows`` may be empty (the zero subspace).  Construction re-checks
-    canonicality, so every live Subspace value is in canonical form.
+    ``rows`` may be empty (the zero subspace).  Construction checks that
+    ``rows`` is a tuple of tuples in reduced row echelon form, so every live
+    Subspace value is in canonical form.
     """
 
     n: int
@@ -144,12 +208,27 @@ class Subspace:
         for r in self.rows:
             if len(r) != self.n:
                 raise ValueError("basis rows must have length n")
-        if rref(self.rows, self.q) != self.rows:
+        for r in self.rows:
+            _check_entries(r, self.q)
+        if not (
+            isinstance(self.rows, tuple)
+            and all(isinstance(r, tuple) for r in self.rows)
+            and _is_rref(self.rows)
+        ):
             raise ValueError("basis is not in reduced row echelon form")
 
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def _pivot_rows(self) -> dict:
+        """The basis keyed by pivot, built on first use and kept on the
+        instance: {bit_length: packed row} for q = 2, {pivot column: row} for
+        odd q."""
+        if self.q == 2:
+            return {r.bit_length(): r for r in map(_pack2, self.rows)}
+        return {_leading_column(r): r for r in self.rows}
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[Sequence[int]], n: int, q: int) -> "Subspace":
@@ -194,10 +273,43 @@ def _check_compatible(u: Subspace, w: Subspace) -> None:
 
 
 def dim_intersection(u: Subspace, w: Subspace) -> int:
-    """dim(U ∩ W) = dim U + dim W - rank of the stacked bases."""
+    """dim(U ∩ W) = dim W - rank of W's basis reduced modulo U.
+
+    Each row of W is reduced against U's pivots and then against the
+    residues kept so far, at its leading entry, until that entry's column is
+    a new pivot; the residues kept are independent modulo U."""
     _check_compatible(u, w)
-    rank = len(rref(u.rows + w.rows, u.q))
-    return u.dim + w.dim - rank
+    if u.q == 2:
+        # U's pivot rows and the residues share one table
+        table = dict(u._pivot_rows)
+        for r in w._pivot_rows.values():
+            while r:
+                p = table.get(r.bit_length())
+                if p is None:
+                    table[r.bit_length()] = r
+                    break
+                r ^= p
+        return w.dim - (len(table) - u.dim)
+    q = u.q
+    pivots = u._pivot_rows.items()
+    residues: dict[int, list[int]] = {}  # leading column -> residue, lead 1
+    for r in w.rows:
+        # U is canonical, so one pass clears all of its pivot columns
+        for c, p in pivots:
+            f = r[c]
+            if f:
+                r = [(a - f * b) % q for a, b in zip(r, p)]
+        lead = _leading_column(r)
+        while lead is not None:
+            p = residues.get(lead)
+            if p is None:
+                inv = pow(r[lead], -1, q)
+                residues[lead] = [x * inv % q for x in r]
+                break
+            f = r[lead]
+            r = [(a - f * b) % q for a, b in zip(r, p)]
+            lead = _leading_column(r)
+    return w.dim - len(residues)
 
 
 def sum_subspace(u: Subspace, w: Subspace) -> Subspace:
@@ -212,9 +324,10 @@ def intersect_subspace(u: Subspace, w: Subspace) -> Subspace:
     n, q = u.n, u.q
     block = [r + r for r in u.rows]
     block += [r + (0,) * n for r in w.rows]
-    reduced = rref(block, q)
-    inter = [row[n:] for row in reduced if not any(row[:n])]
-    return Subspace(n, q, rref(inter, q))
+    # the reduced rows whose left half is zero span U ∩ W on the right, and
+    # their right halves are already in reduced row echelon form
+    inter = tuple(row[n:] for row in rref(block, q) if not any(row[:n]))
+    return Subspace(n, q, inter)
 
 
 def contains(u: Subspace, w: Subspace) -> bool:
@@ -301,7 +414,10 @@ def subspaces_of(space: Subspace, t: int) -> list[Subspace]:
     """All t-dimensional subspaces of ``space``, as ambient Subspace values.
 
     Maps the basis rows of the t-subspaces of F_q^dim through the space's
-    basis, so the cost depends on dim, never on the ambient n.
+    basis, so the cost depends on dim, never on the ambient n.  The product
+    of two canonical matrices is canonical (restricted to the basis's pivot
+    columns it is the small matrix, and it is 0 left of each pivot), so the
+    mapped rows need no reduction.
     """
     if not 0 <= t <= space.dim:
         return []
@@ -314,7 +430,7 @@ def subspaces_of(space: Subspace, t: int) -> list[Subspace]:
                 if c:
                     vec = [(a + c * b) % space.q for a, b in zip(vec, basis_row)]
             rows.append(tuple(vec))
-        out.append(Subspace(space.n, space.q, rref(rows, space.q)))
+        out.append(Subspace(space.n, space.q, tuple(rows)))
     return out
 
 

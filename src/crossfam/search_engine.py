@@ -191,9 +191,15 @@ def star_lower_bound(n: int, k: int, kp: int, t: int, q: int | None = None) -> i
 
 
 def _weights(pool: CandidatePool) -> list[list[int]]:
-    return [
-        [member_overlap(a, b) for b in pool.candidates_g] for a in pool.candidates_f
-    ]
+    cands_f, cands_g = pool.candidates_f, pool.candidates_g
+    if cands_g != cands_f:
+        return [[member_overlap(a, b) for b in cands_g] for a in cands_f]
+    # one side against itself: the matrix is symmetric, fill each pair once
+    w = [[0] * len(cands_f) for _ in cands_f]
+    for i, a in enumerate(cands_f):
+        for j in range(i, len(cands_f)):
+            w[i][j] = w[j][i] = member_overlap(a, cands_f[j])
+    return w
 
 
 def _contained_subset_unions(

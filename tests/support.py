@@ -56,6 +56,20 @@ def brute_min_tuple_sum(w, ell):
     return best[0], (best[1], best[2])
 
 
+def span_vectors(rows, q, n=None):
+    """The row space of ``rows`` over F_q as a set of vectors, formed from all
+    q^r linear combinations of the r rows, with no elimination.  ``n`` is the
+    width, needed only when there are no rows."""
+    rows = [tuple(r) for r in rows]
+    width = len(rows[0]) if rows else n
+    out = set()
+    for coeffs in product(range(q), repeat=len(rows)):
+        out.add(
+            tuple(sum(c * r[x] for c, r in zip(coeffs, rows)) % q for x in range(width))
+        )
+    return out
+
+
 def _points(member):
     """The elements of a set mask, or every vector of a subspace."""
     if isinstance(member, int):

@@ -28,9 +28,11 @@ from crossfam.gf_subspaces import (
     Subspace,
     SubspaceFamily,
     build_star,
+    enumerate_subspaces,
 )
 from support import (
     brute_min_tuple_sum,
+    span_vectors,
     masks_from_sets,
     random_uniform_set_family,
     sunflower_set_instance,
@@ -126,6 +128,17 @@ class TestMinTupleSum:
             for ell in (1, 2, 3):
                 if ell > min(rows, cols):
                     continue
+                assert min_tuple_sum(m, ell) == brute_min_tuple_sum(w, ell)
+
+    def test_ties_on_both_walks(self):
+        # few distinct values, so many (S, T) share the minimum; wide and tall
+        # shapes walk columns and rows respectively
+        rng = random.Random(24)
+        for _ in range(150):
+            rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+            w = tuple(tuple(rng.randrange(2) for _ in range(cols)) for _ in range(rows))
+            m = IntersectionMatrix(rows, cols, w)
+            for ell in range(1, min(rows, cols, 4) + 1):
                 assert min_tuple_sum(m, ell) == brute_min_tuple_sum(w, ell)
 
     @given(
@@ -306,6 +319,35 @@ class TestSunflowers:
                 k2 == kernel and set(petals) < set(p2) for k2, p2 in found
             )
         }
+
+    @pytest.mark.parametrize("q, n, k, seed", [(2, 4, 2, 35), (2, 5, 3, 36), (3, 4, 2, 37)])
+    def test_subspace_sunflowers_match_exhaustive(self, q, n, k, seed):
+        # kernels and petal sets from the vectors of the members, with no
+        # crossfam elimination: a petal set is a sunflower when every pair
+        # shares the same q^t vectors
+        rng = random.Random(seed)
+        layer = enumerate_subspaces(n, k, q).members
+        for _ in range(4):
+            members = rng.sample(layer, rng.randrange(3, 8))
+            fam = SubspaceFamily(n, q, k, tuple(members))
+            points = [frozenset(span_vectors(m.rows, q)) for m in members]
+            for t in range(k):
+                found = set()
+                for size in range(2, len(members) + 1):
+                    for idxs in combinations(range(len(members)), size):
+                        inters = {points[i] & points[j] for i, j in combinations(idxs, 2)}
+                        if len(inters) == 1 and len(next(iter(inters))) == q**t:
+                            found.add((inters.pop(), idxs))
+                brute = {
+                    (kernel, petals)
+                    for kernel, petals in found
+                    if not any(k2 == kernel and set(petals) < set(p2) for k2, p2 in found)
+                }
+                got = {
+                    (frozenset(span_vectors(f.kernel.rows, q, n)), f.petals)
+                    for f in find_sunflowers(fam, t, 2)
+                }
+                assert got == brute
 
     def test_validation(self):
         fam = SetFamily.from_element_sets([[1, 2], [1, 3]], 4)

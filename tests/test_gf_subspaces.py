@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossfam.exact_arith import gaussian_binomial
 from crossfam.gf_subspaces import (
@@ -19,6 +21,7 @@ from crossfam.gf_subspaces import (
     rref,
     sum_subspace,
 )
+from support import span_vectors
 
 
 def random_matrix(rng, rows, cols, q):
@@ -351,3 +354,167 @@ class TestFamilyFile:
         b = Subspace.coordinate(3, 2, [0, 1])
         with pytest.raises(ValueError, match="uniform"):
             SubspaceFamily(3, 2, 1, (a, b))
+
+
+def in_rref(rows):
+    """Reduced row echelon form by definition: nonzero rows, each leading
+    with a 1 strictly right of the row above's, that column 0 in every other
+    row."""
+    leads = []
+    for r in rows:
+        nonzero = [c for c, x in enumerate(r) if x]
+        if not nonzero or r[nonzero[0]] != 1:
+            return False
+        leads.append(nonzero[0])
+    if leads != sorted(set(leads)):
+        return False
+    return all(
+        rows[h][c] == 0 for i, c in enumerate(leads) for h in range(len(rows)) if h != i
+    )
+
+
+@st.composite
+def matrices(draw, q, n=None, max_rows=4):
+    """A list of rows over F_q, possibly empty, with zero and repeated rows
+    drawn more often than chance would give them."""
+    width = n if n is not None else draw(st.integers(min_value=1, max_value=5))
+    entry = st.integers(min_value=0, max_value=q - 1)
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=max_rows))
+    if rows and draw(st.booleans()):
+        rows.append(draw(st.sampled_from([list(rows[0]), [0] * width])))
+    return width, rows
+
+
+class TestAgainstSpanOracle:
+    """rref, dim_intersection, intersect_subspace and contains against the
+    row spaces formed by span_vectors, which never eliminates."""
+
+    @given(st.sampled_from([2, 3, 5]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rref_keeps_span_and_is_reduced(self, q, data):
+        width, rows = data.draw(matrices(q))
+        out = rref(rows, q)
+        assert in_rref(out)
+        assert span_vectors(out, q, width) == span_vectors(rows, q, width)
+        assert rref(out, q) == out
+
+    @given(st.sampled_from([2, 3, 5]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_intersection_against_spans(self, q, data):
+        width, a = data.draw(matrices(q))
+        _, b = data.draw(matrices(q, n=width))
+        self._check_pair(q, width, a, b)
+
+    @given(st.sampled_from([2, 3, 5]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_wide_rows(self, q, data):
+        # n = 70, dim <= 3: packed F_2 rows are far wider than 64 bits
+        width, a = data.draw(matrices(q, n=70, max_rows=2))
+        _, b = data.draw(matrices(q, n=70, max_rows=2))
+        if a and data.draw(st.booleans()):
+            b = b[:2] + [a[0]]
+        self._check_pair(q, width, a, b)
+
+    @staticmethod
+    def _check_pair(q, width, a, b):
+        u = Subspace.from_vectors(a, width, q)
+        w = Subspace.from_vectors(b, width, q)
+        span_u, span_w = span_vectors(a, q, width), span_vectors(b, q, width)
+        common = span_u & span_w
+        assert q ** dim_intersection(u, w) == len(common)
+        assert q ** dim_intersection(w, u) == len(common)
+        inter = intersect_subspace(u, w)
+        assert span_vectors(inter.rows, q, width) == common
+        assert contains(u, w) == (span_w <= span_u)
+        assert contains(w, u) == (span_u <= span_w)
+        assert len(span_u) == q**u.dim and len(span_w) == q**w.dim
+
+    def test_edge_cases(self):
+        for q in (2, 3, 5):
+            assert rref([], q) == ()
+            assert rref([[0, 0, 0]], q) == ()
+            assert rref([[0]], q) == ()
+            assert rref([[1]], q) == ((1,),)
+            assert rref([[q - 1], [1]], q) == ((1,),)
+            assert rref([[1, 1], [1, 1], [1, 1]], q) == ((1, 1),)
+            zero = Subspace.zero(3, q)
+            line = Subspace.from_vectors([[0, 1, 1]], 3, q)
+            assert dim_intersection(zero, line) == dim_intersection(line, zero) == 0
+            assert intersect_subspace(line, zero) == zero
+            assert contains(line, zero) and not contains(zero, line)
+            one = Subspace.from_vectors([[q - 1]], 1, q)
+            assert one.rows == ((1,),)
+            assert dim_intersection(one, one) == 1
+
+    def test_bool_entries_give_ints(self):
+        out = rref([[True, False, True], [True, True, False]], 2)
+        assert out == ((1, 0, 1), (0, 1, 1))
+        assert all(type(x) is int for row in out for x in row)
+        out = rref([[False, True], [True, True]], 3)
+        assert out == ((1, 0), (0, 1))
+        assert all(type(x) is int for row in out for x in row)
+        s = Subspace.from_vectors([[True, True, False]], 3, 2)
+        assert s.rows == ((1, 1, 0),) and type(s.rows[0][0]) is int
+
+
+class TestCanonicalConstructor:
+    @pytest.mark.parametrize(
+        "n, q, rows, message",
+        [
+            (3, 3, ((2, 0, 0),), "reduced row echelon"),  # lead is not 1
+            (3, 2, ((0, 1, 0), (1, 0, 0)), "reduced row echelon"),  # pivots unsorted
+            (3, 2, ((0, 1, 0), (0, 1, 1)), "reduced row echelon"),  # pivot repeated
+            (3, 2, ((1, 1, 0), (0, 1, 0)), "reduced row echelon"),  # nonzero above a pivot
+            (3, 2, ((1, 0, 0), (1, 1, 0)), "reduced row echelon"),  # nonzero below a pivot
+            (3, 5, ((1, 0, 4), (0, 0, 1)), "reduced row echelon"),  # above the last pivot
+            (3, 2, ((1, 0, 0), (0, 0, 0)), "reduced row echelon"),  # zero row
+            (3, 2, ((0, 0, 0),), "reduced row echelon"),  # zero row alone
+            (0, 2, ((),), "reduced row echelon"),  # empty row
+            (3, 2, [(1, 0, 0)], "reduced row echelon"),  # rows not a tuple
+            (3, 2, ([1, 0, 0],), "reduced row echelon"),  # row not a tuple
+            (3, 2, [], "reduced row echelon"),  # no rows, not a tuple
+            (3, 3, ((1, 3, 0),), r"entries must be integers in \[0, 3\) \(got 3\)"),
+            (3, 3, ((1, -1, 0),), r"entries must be integers in \[0, 3\) \(got -1\)"),
+            (2, 2, ((1, 0.0),), r"entries must be integers in \[0, 2\) \(got 0.0\)"),
+            (3, 2, ((1, 0),), "basis rows must have length n"),
+            (3, 2, ((1, 0, 0), (0, 1, 0, 0)), "basis rows must have length n"),
+            (3, 4, ((1, 0, 0),), "q must be prime"),
+            (-1, 2, (), "ambient dimension must be >= 0"),
+        ],
+    )
+    def test_rejects(self, n, q, rows, message):
+        with pytest.raises(ValueError, match=message):
+            Subspace(n, q, rows)
+
+    @pytest.mark.parametrize(
+        "n, q, rows",
+        [
+            (3, 2, ()),
+            (0, 3, ()),
+            (3, 3, ((1, 2, 0), (0, 0, 1))),
+            (4, 5, ((0, 1, 0, 4), (0, 0, 1, 3))),
+            (2, 2, ((True, False), (False, True))),
+        ],
+    )
+    def test_accepts(self, n, q, rows):
+        assert Subspace(n, q, rows).rows == rows
+
+    @given(st.sampled_from([2, 3, 5]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_structural_check_agrees_with_rref(self, q, data):
+        width, rows = data.draw(matrices(q))
+        # reduced matrices, some with one entry changed, are the interesting
+        # inputs; raw random matrices are almost never canonical
+        if data.draw(st.booleans()):
+            rows = [list(r) for r in rref(rows, q)]
+            if rows and data.draw(st.booleans()):
+                i = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
+                j = data.draw(st.integers(min_value=0, max_value=width - 1))
+                rows[i][j] = data.draw(st.integers(min_value=0, max_value=q - 1))
+        rows = tuple(tuple(r) for r in rows)
+        try:
+            Subspace(width, q, rows)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == (rref(rows, q) == rows)

@@ -5,6 +5,7 @@ import pytest
 from crossfam.family_analysis import (
     SetFamily,
     is_weakly_cross_intersecting,
+    member_overlap,
 )
 from crossfam.gf_subspaces import Subspace, build_star, enumerate_subspaces
 from crossfam.search_engine import (
@@ -14,6 +15,7 @@ from crossfam.search_engine import (
     SearchOptions,
     SearchResult,
     _best_star_pair,
+    _weights,
     certification_failure,
     certify,
     max_product_bb,
@@ -412,6 +414,23 @@ def test_bb_symmetry_matches_naive_on_full_layers(n, k, kp, ell, t):
     assert reduced.optimal
     assert reduced.best_product == max_product_naive(pool, ell, t).best_product
     assert certify(reduced, pool, ell, t)
+
+
+@pytest.mark.parametrize(
+    "pool",
+    [
+        CandidatePool.full_subspace_layer(4, 2, 2, 2),
+        CandidatePool.full_subspace_layer(3, 1, 1, 3),
+        CandidatePool.full_set_layer(6, 3, 3),
+        CandidatePool.full_subspace_layer(4, 1, 2, 2),
+    ],
+    ids=["gf2-shared", "gf3-shared", "sets-equal", "gf2-two-layers"],
+)
+def test_weights_match_every_pair(pool):
+    expected = [
+        [member_overlap(a, b) for b in pool.candidates_g] for a in pool.candidates_f
+    ]
+    assert _weights(pool) == expected
 
 
 @pytest.mark.parametrize(
